@@ -203,7 +203,7 @@ int main() {
     } else {
       for (const Candidate& c : candidates) {
         if (filter.empty() ||
-            c.description.find(filter) != std::string::npos) {
+            DescribeCandidate(c).find(filter) != std::string::npos) {
           chosen = &c;
           break;
         }
@@ -228,7 +228,7 @@ int main() {
           after, after_stage, chosen->config.NumMicrobatches(wl.graph()));
       measured = Direction(a.comp, b.comp) + Direction(a.comm, b.comm) +
                  Direction(a.mem, b.mem);
-      description = chosen->description;
+      description = DescribeCandidate(*chosen);
     }
     table.AddRow({PrimitiveName(info.kind), info.mechanism, expected, measured,
                   description});

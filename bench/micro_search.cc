@@ -1,11 +1,14 @@
 // Micro-benchmark: search building blocks — candidate generation per
-// primitive, one full search iteration, fine-tuning, and the per-candidate
-// construction+hash path (copy-on-write vs the pre-CoW deep-copy baseline).
+// primitive, one full search iteration, fine-tuning, the per-candidate
+// construction+hash path (copy-on-write vs the pre-CoW deep-copy baseline),
+// and stage-local candidate validation and recompute fixing.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "src/aceso.h"
@@ -350,6 +353,69 @@ void BM_ScalarGroupEvalNoCache(benchmark::State& state) {
   GroupEvalBench<false, false>(state);
 }
 BENCHMARK(BM_ScalarGroupEvalNoCache)->Arg(4)->Arg(8);
+
+// ----- Candidate construction: validation and the recompute fix -----
+//
+// Each Table-1 primitive changes one or two stages of an already-validated
+// configuration (DESIGN.md §18). Validate() builds no message unless it
+// fails, and FixRecompute prices only its stage.
+
+// Arg 0: gpt3-2.6b on 16 GPUs, 8 stages; arg 1: deepnet-1000 on 8 GPUs,
+// 4 stages. Every iteration mutates one (rotating) stage, as a candidate
+// does, and validates the whole candidate.
+void BM_ValidateCandidate(benchmark::State& state) {
+  const bool deep = state.range(0) == 1;
+  const OpGraph graph =
+      deep ? models::DeepTransformer(1000) : models::Gpt3(2.6);
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(deep ? 8 : 16);
+  const ParallelConfig base =
+      *MakeEvenConfig(graph, cluster, deep ? 4 : 8, 4);
+  ParallelConfig candidate = base;
+  if (!candidate.Validate(graph, cluster).ok()) {
+    state.SkipWithError("base configuration does not validate");
+    return;
+  }
+  int round = 0;
+  for (auto _ : state) {
+    candidate.MutableStage(round % candidate.num_stages());
+    ++round;
+    benchmark::DoNotOptimize(candidate.Validate(graph, cluster));
+  }
+  state.SetLabel(deep ? "deepnet-1000@8" : "gpt3-2.6b@16");
+}
+BENCHMARK(BM_ValidateCandidate)->Arg(0)->Arg(1);
+
+// The §4.3 recompute fix on one (rotating) stage of a fresh candidate copy
+// of the 8-stage gpt3-2.6b@16 config. Arg 0: the stages fit, so the fix
+// looks for recomputation to release (none: nothing changes). Arg 1: the
+// device holds half the smallest stage footprint, so every fix enables
+// recomputation until the stage fits.
+void BM_FixRecompute(benchmark::State& state) {
+  const bool oom = state.range(0) == 1;
+  const OpGraph graph = models::Gpt3(2.6);
+  ClusterSpec cluster = ClusterSpec::WithGpuCount(16);
+  const ParallelConfig base = *MakeEvenConfig(graph, cluster, 8, 4);
+  if (oom) {
+    ProfileDatabase probe_db(cluster);
+    PerformanceModel probe(&graph, cluster, &probe_db);
+    int64_t smallest = std::numeric_limits<int64_t>::max();
+    for (const StageUsage& usage : probe.Evaluate(base).stages) {
+      smallest = std::min(smallest, usage.memory_bytes);
+    }
+    cluster.gpu.memory_bytes = smallest / 2;
+  }
+  ProfileDatabase db(cluster);
+  PerformanceModel model(&graph, cluster, &db);
+  int round = 0;
+  for (auto _ : state) {
+    ParallelConfig candidate = base;
+    FixRecompute(model, candidate, round % candidate.num_stages());
+    ++round;
+    benchmark::DoNotOptimize(candidate.num_stages());
+  }
+  state.SetLabel(oom ? "enable (oom)" : "release (fits)");
+}
+BENCHMARK(BM_FixRecompute)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace aceso

@@ -328,6 +328,8 @@ int64_t ParallelConfig::NumMicrobatches(const OpGraph& graph) const {
 
 Status ParallelConfig::Validate(const OpGraph& graph,
                                 const ClusterSpec& cluster) const {
+  // Every message is built only on its failure branch: the search
+  // validates each candidate and each fine-tune trial and reads only ok().
   if (stages_.empty()) {
     return InvalidArgument("configuration has no stages");
   }
@@ -348,47 +350,53 @@ Status ParallelConfig::Validate(const OpGraph& graph,
   int next_op = 0;
   for (size_t s = 0; s < stages_.size(); ++s) {
     const StageConfig& stage = stages_[s]->config();
-    const std::string tag = "stage " + std::to_string(s);
+    auto tag = [s] { return "stage " + std::to_string(s); };
     if (stage.first_op != next_op) {
-      return InvalidArgument(tag + " starts at op " +
+      return InvalidArgument(tag() + " starts at op " +
                              std::to_string(stage.first_op) + ", expected " +
                              std::to_string(next_op));
     }
     if (stage.num_ops <= 0) {
-      return InvalidArgument(tag + " is empty");
+      return InvalidArgument(tag() + " is empty");
     }
     next_op = stage.end_op();
     if (!IsPow2(stage.num_devices)) {
-      return InvalidArgument(tag + " device count " +
+      return InvalidArgument(tag() + " device count " +
                              std::to_string(stage.num_devices) +
                              " is not a power of two");
     }
     if (static_cast<int>(stage.ops.size()) != stage.num_ops) {
-      return InvalidArgument(tag + " has " + std::to_string(stage.ops.size()) +
+      return InvalidArgument(tag() + " has " +
+                             std::to_string(stage.ops.size()) +
                              " op settings for " +
                              std::to_string(stage.num_ops) + " ops");
     }
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
       const Operator& op = graph.op(stage.first_op + i);
-      const std::string op_tag = tag + " op " + op.name;
+      auto op_tag = [&] { return tag() + " op " + op.name; };
       if (!IsPow2(setting.tp) || !IsPow2(setting.dp)) {
-        return InvalidArgument(op_tag + ": tp/dp must be powers of two");
+        return InvalidArgument(op_tag() + ": tp/dp must be powers of two");
       }
       if (setting.tp * setting.dp != stage.num_devices) {
-        return InvalidArgument(op_tag + ": tp*dp=" +
+        return InvalidArgument(op_tag() + ": tp*dp=" +
                                std::to_string(setting.tp * setting.dp) +
                                " != stage devices " +
                                std::to_string(stage.num_devices));
       }
+      // tp and dp are powers of two from here on, so a power-of-two tp
+      // exceeds FloorPow2(max_tp) exactly when it exceeds max_tp, and
+      // mbs % dp is a mask.
       if (op.tp_class == TpClass::kPartitioned &&
-          setting.tp > FloorPow2(std::max(op.max_tp, 1))) {
-        return InvalidArgument(op_tag + ": tp " + std::to_string(setting.tp) +
+          setting.tp > std::max(op.max_tp, 1)) {
+        return InvalidArgument(op_tag() + ": tp " +
+                               std::to_string(setting.tp) +
                                " exceeds op limit " +
                                std::to_string(op.max_tp));
       }
-      if (microbatch_size_ % setting.dp != 0) {
-        return InvalidArgument(op_tag + ": dp " + std::to_string(setting.dp) +
+      if ((microbatch_size_ & (setting.dp - 1)) != 0) {
+        return InvalidArgument(op_tag() + ": dp " +
+                               std::to_string(setting.dp) +
                                " does not divide microbatch size " +
                                std::to_string(microbatch_size_));
       }

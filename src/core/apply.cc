@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 
 #include "src/common/logging.h"
 
@@ -59,6 +58,45 @@ void RederiveStage(const OpGraph& graph, StageConfig& stage, int target_tp) {
 
 }  // namespace
 
+std::string DescribeCandidate(const Candidate& candidate) {
+  const CandidateDescription& d = candidate.description;
+  const std::string head = std::string(PrimitiveName(candidate.primitive)) +
+                           "(s" + std::to_string(d.stage) + ") ";
+  const std::string a = std::to_string(d.a);
+  const std::string b = std::to_string(d.b);
+  switch (d.detail) {
+    case CandidateDetail::kMigrateFromTp:
+      return head + "+" + a + "gpu from s" + b + " partner dec-tp";
+    case CandidateDetail::kMigrateFromDp:
+      return head + "+" + a + "gpu from s" + b + " partner dec-dp";
+    case CandidateDetail::kRelayOps:
+      return head + a + "ops -> s" + b;
+    case CandidateDetail::kPushOneOp:
+      return head + "1op -> s" + b;
+    case CandidateDetail::kPullOps:
+      return head + a + "ops <- s" + b;
+    case CandidateDetail::kMicrobatch:
+      return head + "mbs=" + a;
+    case CandidateDetail::kSwapDpToTp:
+      return head + "swap dp->tp";
+    case CandidateDetail::kSwapTpToDp:
+      return head + "swap tp->dp";
+    case CandidateDetail::kRecomputeFit:
+      return head + "fit";
+    case CandidateDetail::kRecomputeOneMore:
+      return head + "+1op";
+    case CandidateDetail::kRecomputeRelax:
+      return head + "relax";
+    case CandidateDetail::kRecomputeOneLess:
+      return head + "-1op";
+    case CandidateDetail::kShardOptimizer:
+      return head + "shard opt";
+    case CandidateDetail::kReplicateOptimizer:
+      return head + "replicate opt";
+  }
+  return head;
+}
+
 double EstimateOpTime(const PerformanceModel& model, const Operator& op,
                       const OpParallel& setting, int microbatch_size) {
   const int local_batch = std::max(1, microbatch_size / setting.dp);
@@ -77,60 +115,79 @@ void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
   if (stage_index < 0 || stage_index >= config.num_stages()) {
     return;
   }
-  const PerfResult perf = model.Evaluate(config);
+  const int64_t memory = model.StageMemoryBytes(config, stage_index);
   const int64_t limit = model.cluster().gpu.memory_bytes;
-  const StageUsage& usage = perf.stages[static_cast<size_t>(stage_index)];
-  StageConfig& stage = config.MutableStage(stage_index);
+  const StageConfig& stage = config.stage(stage_index);
   const int64_t in_flight =
       std::max(1, config.num_stages() - stage_index);
   const int mbs = config.microbatch_size();
+  const OpGraph& graph = model.graph();
+  // `stage` is read only while the candidate lists are built. The stage is
+  // cloned (copy-on-write) when the first flag flips, so a fix that changes
+  // nothing leaves the block, and its caches, shared.
+  StageConfig* mutable_stage = nullptr;
+  auto set_recompute = [&](int i, bool recompute) {
+    if (mutable_stage == nullptr) {
+      mutable_stage = &config.MutableStage(stage_index);
+    }
+    mutable_stage->ops[static_cast<size_t>(i)].recompute = recompute;
+  };
+  // Both greedy passes pop candidates from a max-heap keyed by (value, op
+  // index): the same order a descending sort yields, paid per pop.
 
-  if (usage.memory_bytes > limit) {
+  if (memory > limit) {
     // Enable recompute on the fattest activations until the stage fits.
-    int64_t need = usage.memory_bytes - limit;
+    int64_t need = memory - limit;
     std::vector<std::pair<int64_t, int>> by_size;  // (stored bytes, op index)
+    by_size.reserve(static_cast<size_t>(stage.num_ops));
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
       if (!setting.recompute) {
-        const Operator& op = model.graph().op(stage.first_op + i);
-        const int64_t stored = ApproxStoredBytes(op, setting, mbs);
+        const int64_t stored =
+            ApproxStoredBytes(graph.op(stage.first_op + i), setting, mbs);
         if (stored > 0) {
           by_size.emplace_back(stored, i);
         }
       }
     }
-    std::sort(by_size.begin(), by_size.end(),
-              std::greater<std::pair<int64_t, int>>());
-    for (const auto& [stored, i] : by_size) {
-      if (need <= 0) {
-        break;
-      }
-      stage.ops[static_cast<size_t>(i)].recompute = true;
+    std::make_heap(by_size.begin(), by_size.end());
+    while (need > 0 && !by_size.empty()) {
+      std::pop_heap(by_size.begin(), by_size.end());
+      const auto [stored, i] = by_size.back();
+      by_size.pop_back();
+      set_recompute(i, true);
       need -= stored * in_flight;
     }
   } else {
     // Release recompute where memory allows, cheapest savings first --
     // i.e. drop the recomputations with the highest time cost per byte.
-    int64_t slack = limit - usage.memory_bytes;
+    int64_t slack = limit - memory;
     std::vector<std::pair<double, int>> by_cost;  // (recompute time, op index)
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-      if (setting.recompute) {
-        const Operator& op = model.graph().op(stage.first_op + i);
+      const Operator& op = graph.op(stage.first_op + i);
+      // The slack only shrinks, so a release that does not fit now never
+      // will: leave it out before looking up its recompute time.
+      if (setting.recompute &&
+          ApproxStoredBytes(op, setting, mbs) * in_flight <= slack) {
         const OpMeasurement m = model.db().OpTime(
-            op, model.graph().precision(), EffectiveShards(op, setting.tp),
+            op, graph.precision(), EffectiveShards(op, setting.tp),
             std::max(1, mbs / setting.dp));
         by_cost.emplace_back(m.fwd_seconds, i);
       }
     }
-    std::sort(by_cost.begin(), by_cost.end(),
-              std::greater<std::pair<double, int>>());
-    for (const auto& [cost, i] : by_cost) {
-      const Operator& op = model.graph().op(stage.first_op + i);
-      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-      const int64_t added = ApproxStoredBytes(op, setting, mbs) * in_flight;
+    std::make_heap(by_cost.begin(), by_cost.end());
+    while (!by_cost.empty()) {
+      std::pop_heap(by_cost.begin(), by_cost.end());
+      const int i = by_cost.back().second;
+      by_cost.pop_back();
+      const StageConfig& current = config.stage(stage_index);
+      const int64_t added =
+          ApproxStoredBytes(graph.op(current.first_op + i),
+                            current.ops[static_cast<size_t>(i)], mbs) *
+          in_flight;
       if (added <= slack) {
-        stage.ops[static_cast<size_t>(i)].recompute = false;
+        set_recompute(i, false);
         slack -= added;
       }
     }
@@ -279,7 +336,7 @@ class CandidateBuilder {
 
   // Validates, applies the §4.3 recompute attachment to the stages the
   // candidate touched, and records it.
-  void Emit(ParallelConfig config, const std::string& description,
+  void Emit(ParallelConfig config, CandidateDescription description,
             std::vector<int> touched_stages) {
     if (!config.Validate(model_.graph(), model_.cluster()).ok()) {
       return;
@@ -308,22 +365,13 @@ class CandidateBuilder {
   std::vector<Candidate> out_;
 };
 
-std::string Desc(PrimitiveKind kind, int stage, const std::string& extra) {
-  std::ostringstream oss;
-  oss << PrimitiveName(kind) << "(s" << stage << ")";
-  if (!extra.empty()) {
-    oss << " " << extra;
-  }
-  return oss.str();
-}
-
 // Generates device-migration candidates: `gain` stage absorbs d devices from
 // `lose` stage, with the gain going into tp or dp (`gain_into_tp`) and the
 // donor shrinking its tp or dp.
 void EmitDeviceMigrations(CandidateBuilder& builder,
                           const PerformanceModel& model,
                           const ParallelConfig& config, int gain, int lose,
-                          bool gain_into_tp, PrimitiveKind kind) {
+                          bool gain_into_tp) {
   if (lose < 0 || lose == gain) {
     return;
   }
@@ -353,10 +401,11 @@ void EmitDeviceMigrations(CandidateBuilder& builder,
                     gain_into_tp ? gain_tp * gain_ratio : gain_tp);
       RederiveStage(model.graph(), lose_stage,
                     lose_from_tp ? lose_tp / lose_ratio : lose_tp);
-      std::ostringstream extra;
-      extra << "+" << d << "gpu from s" << lose << " partner "
-            << (lose_from_tp ? "dec-tp" : "dec-dp");
-      builder.Emit(std::move(next), Desc(kind, gain, extra.str()),
+      builder.Emit(std::move(next),
+                   {gain,
+                    lose_from_tp ? CandidateDetail::kMigrateFromTp
+                                 : CandidateDetail::kMigrateFromDp,
+                    d, lose},
                    {gain, lose});
     }
   }
@@ -402,9 +451,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
           touched.push_back(s + step);
         }
         if (ok) {
-          std::ostringstream extra;
-          extra << count << "ops -> s" << idlest;
-          builder.Emit(std::move(next), Desc(kind, stage, extra.str()),
+          builder.Emit(std::move(next),
+                       {stage, CandidateDetail::kRelayOps, count, idlest},
                        touched);
         }
       }
@@ -415,9 +463,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         }
         ParallelConfig next = config;
         if (MoveOps(model, next, stage, neighbor, 1)) {
-          std::ostringstream extra;
-          extra << "1op -> s" << neighbor;
-          builder.Emit(std::move(next), Desc(kind, stage, extra.str()),
+          builder.Emit(std::move(next),
+                       {stage, CandidateDetail::kPushOneOp, 1, neighbor},
                        {stage, neighbor});
         }
       }
@@ -440,9 +487,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
                                           from_front, gap)) {
           ParallelConfig next = config;
           if (MoveOps(model, next, neighbor, stage, count)) {
-            std::ostringstream extra;
-            extra << count << "ops <- s" << neighbor;
-            builder.Emit(std::move(next), Desc(kind, stage, extra.str()),
+            builder.Emit(std::move(next),
+                         {stage, CandidateDetail::kPullOps, count, neighbor},
                          {stage, neighbor});
           }
         }
@@ -459,8 +505,7 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         std::vector<int> touched(static_cast<size_t>(p));
         std::iota(touched.begin(), touched.end(), 0);
         builder.Emit(std::move(next),
-                     Desc(kind, stage, "mbs=" + std::to_string(next_mbs)),
-                     touched);
+                     {stage, CandidateDetail::kMicrobatch, next_mbs}, touched);
       }
       break;
     }
@@ -472,8 +517,7 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         std::vector<int> touched(static_cast<size_t>(p));
         std::iota(touched.begin(), touched.end(), 0);
         builder.Emit(std::move(next),
-                     Desc(kind, stage, "mbs=" + std::to_string(mbs / 2)),
-                     touched);
+                     {stage, CandidateDetail::kMicrobatch, mbs / 2}, touched);
       }
       break;
     }
@@ -490,8 +534,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         if (new_tp >= 1 && new_tp <= s.num_devices) {
           RederiveStage(graph, s, new_tp);
           builder.Emit(std::move(next),
-                       Desc(kind, stage,
-                            into_tp ? "swap dp->tp" : "swap tp->dp"),
+                       {stage, into_tp ? CandidateDetail::kSwapDpToTp
+                                       : CandidateDetail::kSwapTpToDp},
                        {stage});
         }
       }
@@ -500,16 +544,14 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
       // roomiest donors first and let the estimator rank the rest.
       const int idle_donor = IdlestStage(perf, stage);
       const int roomy_donor = RoomiestStage(perf, stage);
-      EmitDeviceMigrations(builder, model, config, stage, idle_donor, into_tp,
-                           kind);
+      EmitDeviceMigrations(builder, model, config, stage, idle_donor, into_tp);
       if (roomy_donor != idle_donor) {
         EmitDeviceMigrations(builder, model, config, stage, roomy_donor,
-                             into_tp, kind);
+                             into_tp);
       }
       for (int donor = 0; donor < p; ++donor) {
         if (donor != stage && donor != idle_donor && donor != roomy_donor) {
-          EmitDeviceMigrations(builder, model, config, stage, donor, into_tp,
-                               kind);
+          EmitDeviceMigrations(builder, model, config, stage, donor, into_tp);
         }
       }
       break;
@@ -527,8 +569,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         if (new_tp >= 1 && new_tp <= s.num_devices) {
           RederiveStage(graph, s, new_tp);
           builder.Emit(std::move(next),
-                       Desc(kind, stage,
-                            from_tp ? "swap tp->dp" : "swap dp->tp"),
+                       {stage, from_tp ? CandidateDetail::kSwapTpToDp
+                                       : CandidateDetail::kSwapDpToTp},
                        {stage});
         }
       }
@@ -547,9 +589,9 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         });
         for (const int receiver : receivers) {
           EmitDeviceMigrations(builder, model, config, receiver, stage,
-                               /*gain_into_tp=*/true, kind);
+                               /*gain_into_tp=*/true);
           EmitDeviceMigrations(builder, model, config, receiver, stage,
-                               /*gain_into_tp=*/false, kind);
+                               /*gain_into_tp=*/false);
         }
       }
       break;
@@ -564,7 +606,7 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
           model.cluster().gpu.memory_bytes) {
         ParallelConfig next = config;
         FixRecompute(model, next, stage);
-        builder.Emit(std::move(next), Desc(kind, stage, "fit"), {});
+        builder.Emit(std::move(next), {stage, CandidateDetail::kRecomputeFit}, {});
       }
       // (b) Recompute one more op: the largest non-recomputed activation.
       {
@@ -585,7 +627,7 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         }
         if (best >= 0) {
           s.ops[static_cast<size_t>(best)].recompute = true;
-          builder.Emit(std::move(next), Desc(kind, stage, "+1op"), {});
+          builder.Emit(std::move(next), {stage, CandidateDetail::kRecomputeOneMore}, {});
         }
       }
       break;
@@ -607,7 +649,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
       }
       if (changed) {
         builder.Emit(std::move(next),
-                     Desc(kind, stage, enable ? "shard opt" : "replicate opt"),
+                     {stage, enable ? CandidateDetail::kShardOptimizer
+                                    : CandidateDetail::kReplicateOptimizer},
                      {});
       }
       break;
@@ -620,7 +663,7 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
           model.cluster().gpu.memory_bytes) {
         ParallelConfig next = config;
         FixRecompute(model, next, stage);
-        builder.Emit(std::move(next), Desc(kind, stage, "relax"), {});
+        builder.Emit(std::move(next), {stage, CandidateDetail::kRecomputeRelax}, {});
       }
       // (b) Drop the single most expensive recompute.
       {
@@ -642,7 +685,7 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         }
         if (best >= 0) {
           s.ops[static_cast<size_t>(best)].recompute = false;
-          builder.Emit(std::move(next), Desc(kind, stage, "-1op"), {});
+          builder.Emit(std::move(next), {stage, CandidateDetail::kRecomputeOneLess}, {});
         }
       }
       break;

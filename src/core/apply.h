@@ -17,6 +17,7 @@
 #ifndef SRC_CORE_APPLY_H_
 #define SRC_CORE_APPLY_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,13 +27,45 @@
 
 namespace aceso {
 
+// What one application of a primitive did beyond its kind, in the order
+// the generator tries them. `a` and `b` are the detail's arguments.
+enum class CandidateDetail : uint8_t {
+  kMigrateFromTp,  // +<a>gpu from s<b>, donor shrinks tp ("partner dec-tp")
+  kMigrateFromDp,  // +<a>gpu from s<b>, donor shrinks dp ("partner dec-dp")
+  kRelayOps,       // <a> ops relayed toward s<b>
+  kPushOneOp,      // one op pushed to neighbour s<b>
+  kPullOps,        // <a> ops pulled from neighbour s<b>
+  kMicrobatch,     // microbatch size set to <a>
+  kSwapDpToTp,
+  kSwapTpToDp,
+  kRecomputeFit,    // recompute until the stage fits (inc-rc)
+  kRecomputeOneMore,
+  kRecomputeRelax,  // drop recompute while memory allows (dec-rc)
+  kRecomputeOneLess,
+  kShardOptimizer,
+  kReplicateOptimizer,
+};
+
+// How a candidate was produced, recorded as plain data: the search never
+// reads it, so generation formats no text. DescribeCandidate() renders it.
+struct CandidateDescription {
+  int stage = 0;  // the stage named in the text (a migration's gaining stage)
+  CandidateDetail detail = CandidateDetail::kSwapDpToTp;
+  int a = 0;
+  int b = 0;
+};
+
 // One reachable configuration plus how it was produced.
 struct Candidate {
   ParallelConfig config;
   PrimitiveKind primitive;
   int stage = 0;
-  std::string description;
+  CandidateDescription description;
 };
+
+// Human-readable account of how `candidate` was produced, e.g.
+// "inc-dp(s1) +2gpu from s0 partner dec-tp" or "dec-mbs(s0) mbs=2".
+std::string DescribeCandidate(const Candidate& candidate);
 
 // Generates all candidates for applying `kind` at `stage`. `perf` must be
 // the evaluation of `config`. `attach_recompute_fix` controls the §4.3
@@ -46,7 +79,9 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
 // §4.3 recompute attachment: greedily enables recomputation (largest stored
 // activation first) in `stage` until its memory fits the device, or disables
 // it (most expensive recompute first) while memory allows. Mutates `config`
-// in place; no-op when the stage cannot be fixed.
+// in place; no-op when the stage cannot be fixed. Stage-local: prices only
+// `stage` (PerformanceModel::StageMemoryBytes, so NumEvaluations() does not
+// move) and leaves the stage's block shared when no flag changes.
 void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
                   int stage);
 

@@ -579,6 +579,28 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
   return cost;
 }
 
+std::shared_ptr<const StageCost> PerformanceModel::ResolveStageCost(
+    const ParallelConfig& config, int stage_index) const {
+  if (!stage_cache_.enabled()) {
+    return std::make_shared<const StageCost>(
+        ComputeStageCost(config, stage_index));
+  }
+  const uint64_t key = config.StageSemanticHash(*graph_, cluster_, stage_index);
+  std::shared_ptr<const StageCost> cost = stage_cache_.Lookup(key);
+  if (cost == nullptr) {
+    cost = std::make_shared<const StageCost>(
+        ComputeStageCost(config, stage_index));
+    stage_cache_.Insert(key, cost);
+  }
+  return cost;
+}
+
+int64_t PerformanceModel::StageMemoryBytes(const ParallelConfig& config,
+                                           int stage_index) const {
+  return StageMemoryFromCost(*ResolveStageCost(config, stage_index),
+                             config.num_stages(), stage_index);
+}
+
 PerfResult PerformanceModel::Evaluate(const ParallelConfig& config) const {
   eval_count_.fetch_add(1, std::memory_order_relaxed);
 
@@ -593,19 +615,9 @@ PerfResult PerformanceModel::Evaluate(const ParallelConfig& config) const {
     // Incremental path: reuse the memoized cost when this stage (including
     // its placement context) has been walked before — by this evaluation's
     // predecessor, or by a sibling search sharing the model.
-    std::shared_ptr<const StageCost> cached;
-    StageCost local;
-    if (stage_cache_.enabled()) {
-      const uint64_t key = config.StageSemanticHash(*graph_, cluster_, s);
-      cached = stage_cache_.Lookup(key);
-      if (cached == nullptr) {
-        cached = std::make_shared<const StageCost>(ComputeStageCost(config, s));
-        stage_cache_.Insert(key, cached);
-      }
-    } else {
-      local = ComputeStageCost(config, s);
-    }
-    const StageCost& cost = cached != nullptr ? *cached : local;
+    const std::shared_ptr<const StageCost> resolved =
+        ResolveStageCost(config, s);
+    const StageCost& cost = *resolved;
     StageUsage& usage = result.stages[static_cast<size_t>(s)];
 
     usage.fwd_time = cost.fwd_time;
@@ -618,10 +630,7 @@ PerfResult PerformanceModel::Evaluate(const ParallelConfig& config) const {
     usage.optimizer_bytes = cost.optimizer_bytes;
     usage.activation_bytes_per_mb = cost.activation_bytes_per_mb;
     usage.reserved_bytes = cost.reserved_bytes;
-    const int in_flight = std::max(1, p - s);  // 1F1B in-flight microbatches
-    usage.memory_bytes = cost.param_bytes + cost.optimizer_bytes +
-                         cost.activation_bytes_per_mb * in_flight +
-                         cost.reserved_bytes;
+    usage.memory_bytes = StageMemoryFromCost(cost, p, s);
   }
 
   // --- Eq. 2: stage times and iteration time ---

@@ -21,6 +21,7 @@
 #ifndef SRC_COST_PERF_MODEL_H_
 #define SRC_COST_PERF_MODEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
@@ -103,6 +104,17 @@ struct StageCost {
 // (and therefore every PerfResult bit) is identical.
 StageCost AggregateStageCost(const StageWalk& walk);
 
+// Eq. 1 for stage `stage_index` of a `num_stages`-stage pipeline: parameter,
+// optimizer and reserved bytes plus the activations of the 1F1B in-flight
+// microbatches. The one memory expression Evaluate(), the batched evaluator
+// and PerformanceModel::StageMemoryBytes() share.
+inline int64_t StageMemoryFromCost(const StageCost& cost, int num_stages,
+                                   int stage_index) {
+  const int in_flight = std::max(1, num_stages - stage_index);
+  return cost.param_bytes + cost.optimizer_bytes +
+         cost.activation_bytes_per_mb * in_flight + cost.reserved_bytes;
+}
+
 class PerformanceModel {
  public:
   // `graph` and `db` must outlive the model. Thread-safe: Evaluate() may be
@@ -119,6 +131,14 @@ class PerformanceModel {
   // walk only the changed stages. Cached and uncached evaluations produce
   // bit-identical PerfResults (the cache key covers every walk input).
   PerfResult Evaluate(const ParallelConfig& config) const;
+
+  // Evaluate(config).stages[stage_index].memory_bytes, priced from stage
+  // `stage_index` alone: the same stage-cost cache entry (or, with the cache
+  // off, the same ComputeStageCost) and the same StageMemoryFromCost()
+  // expression, without pricing any other stage or counting an evaluation.
+  // This is the §4.3 recompute fix's memory query (DESIGN.md §18).
+  int64_t StageMemoryBytes(const ParallelConfig& config,
+                           int stage_index) const;
 
   // The per-op cost walk of one stage (shared with the runtime simulator).
   // Always the direct path: every op is derived from scratch against the
@@ -183,6 +203,12 @@ class PerformanceModel {
   // evaluation per lane, so scalar and batched runs report identical
   // exploration counts.
   friend class CandidateBatch;
+
+  // The one rule for resolving a stage's cost: with the stage cache on, the
+  // entry under StageSemanticHash, computed and inserted on a miss; with it
+  // off, a fresh ComputeStageCost.
+  std::shared_ptr<const StageCost> ResolveStageCost(
+      const ParallelConfig& config, int stage_index) const;
 
   const OpGraph* graph_;
   ClusterSpec cluster_;

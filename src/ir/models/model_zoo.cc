@@ -1,7 +1,9 @@
 #include "src/ir/models/model_zoo.h"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/common/logging.h"
 #include "src/ir/model_builder.h"
@@ -236,12 +238,20 @@ StatusOr<OpGraph> BuildByName(const std::string& name) {
   auto starts_with = [&](const char* prefix) {
     return name.rfind(prefix, 0) == 0;
   };
+  // The whole tail must be the number: "gpt3-2.6bx" or "deepnet-4zz" name
+  // no model (atof/atoi would read them as gpt3-2.6b and deepnet-4). A tail
+  // that does not parse yields a size no variant has.
   auto parse_size = [&](const char* prefix) -> double {
     std::string tail = name.substr(std::string(prefix).size());
     if (!tail.empty() && tail.back() == 'b') {
       tail.pop_back();
     }
-    return std::atof(tail.c_str());
+    if (tail.empty() || !std::isdigit(static_cast<unsigned char>(tail[0]))) {
+      return -1.0;
+    }
+    char* end = nullptr;
+    const double size = std::strtod(tail.c_str(), &end);
+    return *end == '\0' ? size : -1.0;
   };
   if (starts_with("gpt3-")) {
     for (const GptVariant& v : kGptVariants) {
@@ -262,9 +272,12 @@ StatusOr<OpGraph> BuildByName(const std::string& name) {
       }
     }
   } else if (starts_with("deepnet-")) {
-    const int layers = std::atoi(name.substr(8).c_str());
-    if (layers > 0 && layers <= 1024) {
-      return DeepTransformer(layers);
+    const std::string tail = name.substr(8);
+    char* end = nullptr;
+    const long layers = std::strtol(tail.c_str(), &end, 10);
+    if (!tail.empty() && std::isdigit(static_cast<unsigned char>(tail[0])) &&
+        *end == '\0' && layers > 0 && layers <= 1024) {
+      return DeepTransformer(static_cast<int>(layers));
     }
   } else if (starts_with("bert-")) {
     for (const double size : {0.34, 1.2, 3.9}) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "src/common/hash.h"
+#include "src/common/units.h"
 #include "src/ir/models/model_zoo.h"
 
 namespace aceso {
@@ -108,6 +114,36 @@ TEST_F(ApplyTest, FixRecomputeReleasesUnneededRecompute) {
   EXPECT_LT(config.stage(0).NumRecomputed(), before);
 }
 
+TEST_F(ApplyTest, FixRecomputeCountsNoEvaluations) {
+  // The fix prices only its stage; it is candidate construction, not
+  // exploration, on both the OOM and the release path.
+  ClusterSpec tiny = cluster_;
+  tiny.gpu.memory_bytes = 4 * kGiB;
+  ProfileDatabase tiny_db(tiny);
+  PerformanceModel tiny_model(&graph_, tiny, &tiny_db);
+  ParallelConfig oom = *MakeEvenConfig(graph_, tiny, 2, 8);
+  FixRecompute(tiny_model, oom, 0);
+  EXPECT_GT(oom.stage(0).NumRecomputed(), 0);
+  EXPECT_EQ(tiny_model.NumEvaluations(), 0);
+
+  ParallelConfig relax = Even(2);
+  for (int i = 0; i < graph_.num_ops(); ++i) {
+    relax.MutableOpSettings(i).recompute = true;
+  }
+  FixRecompute(model_, relax, 0);
+  EXPECT_LT(relax.stage(0).NumRecomputed(), relax.stage(0).num_ops);
+  EXPECT_EQ(model_.NumEvaluations(), 0);
+}
+
+TEST_F(ApplyTest, FixRecomputeThatChangesNothingKeepsTheStageShared) {
+  // Nothing recomputed and memory to spare: no flag flips, so the stage
+  // block (and every cache hanging off it) stays shared with the parent.
+  const ParallelConfig parent = Even(2);
+  ParallelConfig child = parent;
+  FixRecompute(model_, child, 0);
+  EXPECT_EQ(child.StageBlockIdentity(0), parent.StageBlockIdentity(0));
+}
+
 TEST_F(ApplyTest, EstimateOpTimePositiveAndRecomputeAware) {
   const Operator& op = graph_.op(5);
   OpParallel setting;
@@ -137,7 +173,7 @@ TEST_F(CandidateTest, AllCandidatesValidate) {
     for (const Candidate& c :
          Generate(config, static_cast<PrimitiveKind>(kind), 1)) {
       EXPECT_TRUE(c.config.Validate(graph_, cluster_).ok())
-          << PrimitiveName(c.primitive) << ": " << c.description;
+          << PrimitiveName(c.primitive) << ": " << DescribeCandidate(c);
     }
   }
 }
@@ -148,7 +184,7 @@ TEST_F(CandidateTest, CandidatesPreserveTotalDevices) {
     for (const Candidate& c :
          Generate(config, static_cast<PrimitiveKind>(kind), 2)) {
       EXPECT_EQ(c.config.TotalDevices(), cluster_.num_gpus())
-          << c.description;
+          << DescribeCandidate(c);
     }
   }
 }
@@ -162,9 +198,70 @@ TEST_F(CandidateTest, CandidatesPreserveOpCoverage) {
       for (const StageConfig& s : c.config.stages()) {
         ops += s.num_ops;
       }
-      EXPECT_EQ(ops, graph_.num_ops()) << c.description;
+      EXPECT_EQ(ops, graph_.num_ops()) << DescribeCandidate(c);
     }
   }
+}
+
+// DescribeCandidate renders the text generation used to build eagerly, byte
+// for byte. The sweep covers every detail kind: even splits, a 3-stage
+// split with unequal stage widths (device migrations), a dp/ZeRO/recompute
+// config, and a small-memory device (the inc-rc fit).
+TEST_F(CandidateTest, DescriptionsMatchEagerText) {
+  std::vector<std::string> texts;
+  auto sweep = [&texts](const PerformanceModel& model,
+                        const ParallelConfig& config) {
+    const PerfResult perf = model.Evaluate(config);
+    for (int kind = 0; kind < kNumPrimitives; ++kind) {
+      for (int s = 0; s < config.num_stages(); ++s) {
+        for (const Candidate& c : GeneratePrimitiveCandidates(
+                 model, config, perf, static_cast<PrimitiveKind>(kind), s)) {
+          texts.push_back(DescribeCandidate(c));
+        }
+      }
+    }
+  };
+  sweep(model_, Even(4, 4));
+  ParallelConfig mixed = Even(2, 8);
+  for (int i = 0; i < graph_.num_ops(); ++i) {
+    mixed.MutableOpSettings(i).recompute = true;
+  }
+  mixed.MutableStage(0).SetUniformParallelism(graph_, 1, 4);
+  mixed.MutableStage(1).SetUniformParallelism(graph_, 1, 4);
+  for (OpParallel& setting : mixed.MutableStage(1).ops) {
+    setting.zero_opt = true;
+  }
+  ASSERT_TRUE(mixed.Validate(graph_, cluster_).ok());
+  sweep(model_, mixed);
+  sweep(model_, Even(3, 4));
+  ClusterSpec tiny = cluster_;
+  tiny.gpu.memory_bytes = 4 * kGiB;
+  ProfileDatabase tiny_db(tiny);
+  PerformanceModel tiny_model(&graph_, tiny, &tiny_db);
+  sweep(tiny_model, *MakeEvenConfig(graph_, tiny, 2, 8));
+
+  // One text per detail kind, verbatim.
+  for (const char* want :
+       {"inc-dp(s1) +2gpu from s0 partner dec-tp",
+        "dec-tp(s1) +2gpu from s0 partner dec-dp",
+        "dec-op#(s0) 3ops -> s3", "dec-op#(s0) 1ops -> s1",
+        "dec-op#(s0) 1op -> s1", "inc-op#(s0) 1ops <- s1",
+        "inc-mbs(s0) mbs=8", "dec-mbs(s0) mbs=2", "dec-dp(s0) swap dp->tp",
+        "inc-dp(s0) swap tp->dp", "inc-rc(s0) fit", "inc-rc(s0) +1op",
+        "dec-rc(s0) relax", "dec-rc(s0) -1op", "inc-zero(s0) shard opt",
+        "dec-zero(s1) replicate opt"}) {
+    EXPECT_NE(std::find(texts.begin(), texts.end(), want), texts.end())
+        << want;
+  }
+  // The whole sweep, in order, as the eager formatter produced it.
+  std::string all;
+  for (const std::string& text : texts) {
+    all += text;
+    all += '\n';
+  }
+  EXPECT_EQ(texts.size(), 149u);
+  EXPECT_EQ(all.size(), 3584u);
+  EXPECT_EQ(FnvHashString(all), 0x855e3c3fb1a87122ULL);
 }
 
 TEST_F(CandidateTest, IncMbsDoublesMicrobatch) {

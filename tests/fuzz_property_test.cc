@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "src/aceso.h"
 #include "src/ir/models/synthetic.h"
@@ -61,7 +64,7 @@ TEST_P(FuzzTest, AllPrimitiveCandidatesStayValid) {
                model, *config, perf, static_cast<PrimitiveKind>(kind),
                stage)) {
         EXPECT_TRUE(candidate.config.Validate(graph, cluster).ok())
-            << candidate.description;
+            << DescribeCandidate(candidate);
         EXPECT_EQ(candidate.config.TotalDevices(), cluster.num_gpus());
       }
     }
@@ -503,6 +506,210 @@ TEST_P(FuzzTest, ConfigIoRoundTripsOnRandomModels) {
   auto parsed = ParseConfig(SerializeConfig(*config, graph.name()), graph);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->SemanticHash(graph), config->SemanticHash(graph));
+}
+
+// One candidate-style mutation, valid or not: the MutateRandomly writes, a
+// device migration (re-derived or left stale), an op move, a microbatch
+// change (including sizes that divide nothing), or an op forced to full tp
+// (breaching max_tp where the op has a limit) or full dp.
+void MutateCandidate(const PerformanceModel& model, ParallelConfig& config,
+                     Rng& rng) {
+  const OpGraph& graph = model.graph();
+  const int p = config.num_stages();
+  const int s = rng.NextInt(0, p - 1);
+  switch (rng.NextInt(0, 5)) {
+    case 0:
+      MutateRandomly(graph, config, rng);
+      break;
+    case 1: {
+      const int t = (s + 1) % p;
+      const int d = config.stage(s).num_devices / 2;
+      if (t == s || d < 1) {
+        break;
+      }
+      config.MutableStage(s).num_devices -= d;
+      config.MutableStage(t).num_devices += d;
+      if (rng.NextBool(0.5)) {
+        for (const int u : {s, t}) {
+          StageConfig& stage = config.MutableStage(u);
+          stage.SetUniformParallelism(graph, 1, stage.num_devices);
+        }
+      }
+      break;
+    }
+    case 2: {
+      const int to = rng.NextBool(0.5) ? s - 1 : s + 1;
+      MoveOps(model, config, s, to, static_cast<int>(rng.NextInt(1, 3)));
+      break;
+    }
+    case 3: {
+      constexpr int kSizes[] = {1, 2, 3, 4, 8, 16};
+      config.set_microbatch_size(kSizes[rng.NextInt(0, 5)]);
+      break;
+    }
+    default: {
+      StageConfig& stage = config.MutableStage(s);
+      OpParallel& setting =
+          stage.ops[static_cast<size_t>(rng.NextInt(0, stage.num_ops - 1))];
+      const bool full_tp = rng.NextBool(0.5);
+      setting.tp = full_tp ? stage.num_devices : 1;
+      setting.dp = full_tp ? 1 : stage.num_devices;
+      break;
+    }
+  }
+}
+
+TEST_P(FuzzTest, StageMemoryBytesMatchesEvaluate) {
+  // The recompute fix's one-stage memory query equals the full evaluation's
+  // figure for every stage, with the stage-cost cache on and off, and never
+  // counts as an evaluation.
+  const OpGraph graph = models::SyntheticModel(rng_);
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  ProfileDatabase db(cluster, /*seed=*/GetParam());
+  PerformanceModel cached(&graph, cluster, &db);
+  PerformanceModel uncached(&graph, cluster, &db);
+  uncached.set_stage_cache_enabled(false);
+  auto made = MakeEvenConfig(graph, cluster, std::min(4, graph.num_ops()), 4);
+  if (!made.ok()) {
+    GTEST_SKIP() << made.status().ToString();
+  }
+  ParallelConfig config = *std::move(made);
+  for (int round = 0; round < 20; ++round) {
+    for (const PerformanceModel* model : {&cached, &uncached}) {
+      const int64_t evaluations = model->NumEvaluations();
+      std::vector<int64_t> memory;
+      for (int s = 0; s < config.num_stages(); ++s) {
+        memory.push_back(model->StageMemoryBytes(config, s));
+      }
+      ASSERT_EQ(model->NumEvaluations(), evaluations);
+      const PerfResult perf = model->Evaluate(config);
+      for (int s = 0; s < config.num_stages(); ++s) {
+        ASSERT_EQ(memory[static_cast<size_t>(s)],
+                  perf.stages[static_cast<size_t>(s)].memory_bytes)
+            << "stage " << s << " round " << round;
+      }
+    }
+    ParallelConfig candidate = config;
+    MutateCandidate(cached, candidate, rng_);
+    if (candidate.Validate(graph, cluster).ok()) {
+      config = std::move(candidate);
+    }
+  }
+}
+
+// The recompute fix as first written: a full Evaluate() for the stage's
+// memory, then complete descending sorts of the candidate ops. The
+// stage-local FixRecompute must make exactly the same flips.
+int64_t ReferenceStoredBytes(const Operator& op, const OpParallel& setting,
+                             int mbs) {
+  int shards = 1;
+  if (op.tp_class == TpClass::kPartitioned &&
+      setting.tp_dim == TpDim::kColumn) {
+    shards = setting.tp;
+  } else if (op.tp_class == TpClass::kShardFollower) {
+    shards = EffectiveShards(op, setting.tp);
+  }
+  return op.out_bytes * static_cast<int64_t>(mbs / setting.dp) / shards;
+}
+
+void ReferenceFixRecompute(const PerformanceModel& model,
+                           ParallelConfig& config, int stage_index) {
+  const PerfResult perf = model.Evaluate(config);
+  const int64_t limit = model.cluster().gpu.memory_bytes;
+  const int64_t memory =
+      perf.stages[static_cast<size_t>(stage_index)].memory_bytes;
+  StageConfig& stage = config.MutableStage(stage_index);
+  const int64_t in_flight = std::max(1, config.num_stages() - stage_index);
+  const int mbs = config.microbatch_size();
+  if (memory > limit) {
+    int64_t need = memory - limit;
+    std::vector<std::pair<int64_t, int>> by_size;
+    for (int i = 0; i < stage.num_ops; ++i) {
+      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+      if (!setting.recompute) {
+        const int64_t stored = ReferenceStoredBytes(
+            model.graph().op(stage.first_op + i), setting, mbs);
+        if (stored > 0) {
+          by_size.emplace_back(stored, i);
+        }
+      }
+    }
+    std::sort(by_size.begin(), by_size.end(),
+              std::greater<std::pair<int64_t, int>>());
+    for (const auto& [stored, i] : by_size) {
+      if (need <= 0) {
+        break;
+      }
+      stage.ops[static_cast<size_t>(i)].recompute = true;
+      need -= stored * in_flight;
+    }
+  } else {
+    int64_t slack = limit - memory;
+    std::vector<std::pair<double, int>> by_cost;
+    for (int i = 0; i < stage.num_ops; ++i) {
+      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+      if (setting.recompute) {
+        const Operator& op = model.graph().op(stage.first_op + i);
+        const OpMeasurement m = model.db().OpTime(
+            op, model.graph().precision(), EffectiveShards(op, setting.tp),
+            std::max(1, mbs / setting.dp));
+        by_cost.emplace_back(m.fwd_seconds, i);
+      }
+    }
+    std::sort(by_cost.begin(), by_cost.end(),
+              std::greater<std::pair<double, int>>());
+    for (const auto& [cost, i] : by_cost) {
+      const Operator& op = model.graph().op(stage.first_op + i);
+      const int64_t added =
+          ReferenceStoredBytes(op, stage.ops[static_cast<size_t>(i)], mbs) *
+          in_flight;
+      if (added <= slack) {
+        stage.ops[static_cast<size_t>(i)].recompute = false;
+        slack -= added;
+      }
+    }
+  }
+}
+
+TEST_P(FuzzTest, FixRecomputeMatchesSortingReference) {
+  // A device sized to the even config's stage-0 footprint puts some stages
+  // over the limit and some under, so both greedy passes run.
+  const OpGraph graph = models::SyntheticModel(rng_);
+  const ClusterSpec probe_cluster = ClusterSpec::WithGpuCount(8);
+  ProfileDatabase probe_db(probe_cluster, /*seed=*/GetParam());
+  PerformanceModel probe(&graph, probe_cluster, &probe_db);
+  auto made =
+      MakeEvenConfig(graph, probe_cluster, std::min(4, graph.num_ops()), 4);
+  if (!made.ok()) {
+    GTEST_SKIP() << made.status().ToString();
+  }
+  ClusterSpec cluster = probe_cluster;
+  cluster.gpu.memory_bytes = probe.Evaluate(*made).stages[0].memory_bytes;
+  ProfileDatabase db(cluster, /*seed=*/GetParam());
+  PerformanceModel model(&graph, cluster, &db);
+  ParallelConfig config = *std::move(made);
+  for (int round = 0; round < 20; ++round) {
+    for (int s = 0; s < config.num_stages(); ++s) {
+      ParallelConfig fixed = config;
+      ParallelConfig reference = config;
+      const int64_t evaluations = model.NumEvaluations();
+      FixRecompute(model, fixed, s);
+      ASSERT_EQ(model.NumEvaluations(), evaluations);
+      ReferenceFixRecompute(model, reference, s);
+      ASSERT_EQ(fixed.SemanticHash(graph), reference.SemanticHash(graph))
+          << "stage " << s << " round " << round;
+    }
+    ParallelConfig candidate = config;
+    MutateCandidate(model, candidate, rng_);
+    for (int i = 0; i < graph.num_ops(); ++i) {
+      if (rng_.NextBool(0.2)) {
+        candidate.MutableOpSettings(i).recompute = rng_.NextBool(0.5);
+      }
+    }
+    if (candidate.Validate(graph, cluster).ok()) {
+      config = std::move(candidate);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(1, 13));

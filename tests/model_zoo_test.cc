@@ -103,6 +103,18 @@ TEST(ZooTest, BuildByNameRejectsUnknown) {
   EXPECT_FALSE(models::BuildByName("").ok());
 }
 
+TEST(ZooTest, BuildByNameRejectsTrailingJunk) {
+  // The whole size must parse: these would otherwise alias real models.
+  for (const char* alias :
+       {"deepnet-4zz", "deepnet-16x", "deepnet- 16", "deepnet-+16",
+        "deepnet-", "gpt3-2.6bx", "gpt3-2.6bb", "gpt3-2.6xb", "gpt3- 2.6b",
+        "gpt3-+2.6b", "gpt3-", "t5-3bb", "wresnet-2b!", "bert-1.2bq"}) {
+    EXPECT_FALSE(models::BuildByName(alias).ok()) << alias;
+  }
+  EXPECT_TRUE(models::BuildByName("deepnet-16").ok());
+  EXPECT_TRUE(models::BuildByName("gpt3-2.6b").ok());
+}
+
 TEST(ZooTest, BuildByNameDeepnet) {
   auto g = models::BuildByName("deepnet-16");
   ASSERT_TRUE(g.ok());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/ir/models/model_zoo.h"
 
 namespace aceso {
@@ -178,6 +182,76 @@ TEST_F(ConfigTest, ValidateRejectsDpNotDividingMbs) {
   config->MutableOpSettings(0).dp = 8;
   config->set_microbatch_size(1);
   EXPECT_FALSE(config->Validate(graph_, cluster_).ok());
+}
+
+// Golden Validate() messages, one per failure kind, as the validator has
+// always worded them: messages are built only on the failing branch, and
+// must read exactly as the eagerly built ones did.
+TEST_F(ConfigTest, ValidateMessagesAreGolden) {
+  const ParallelConfig even4 = *MakeEvenConfig(graph_, cluster_, 4, 4);
+  ParallelConfig dp4 = *MakeEvenConfig(graph_, cluster_, 2, 8);
+  dp4.MutableStage(0).SetUniformParallelism(graph_, 1, 4);
+  const ClusterSpec cluster32 = ClusterSpec::WithGpuCount(32);
+  const ParallelConfig wide = *MakeEvenConfig(graph_, cluster32, 1, 1);
+
+  struct Case {
+    const char* message;
+    const ParallelConfig* parent;
+    const ClusterSpec* cluster;
+    std::function<void(ParallelConfig&)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"microbatch size must be >= 1", &even4, &cluster_,
+       [](ParallelConfig& c) { c.set_microbatch_size(0); }},
+      {"microbatch size 3 does not divide batch 1024", &even4, &cluster_,
+       [](ParallelConfig& c) { c.set_microbatch_size(3); }},
+      {"stage devices sum to 10, cluster has 8", &even4, &cluster_,
+       [](ParallelConfig& c) { c.MutableStage(0).num_devices = 4; }},
+      {"stage 1 starts at op 58, expected 57", &even4, &cluster_,
+       [](ParallelConfig& c) { c.MutableStage(1).first_op += 1; }},
+      {"stage 0 device count 3 is not a power of two", &dp4, &cluster_,
+       [](ParallelConfig& c) {
+         c.MutableStage(0).num_devices = 3;
+         c.MutableStage(1).num_devices = 5;
+       }},
+      {"stage 2 has 52 op settings for 53 ops", &even4, &cluster_,
+       [](ParallelConfig& c) { c.MutableStage(2).ops.pop_back(); }},
+      {"stage 1 op dec7.attn.out_proj: tp/dp must be powers of two", &even4,
+       &cluster_, [](ParallelConfig& c) { c.MutableStage(1).ops[3].tp = 3; }},
+      {"stage 1 op dec7.attn.out_proj: tp*dp=8 != stage devices 2", &even4,
+       &cluster_, [](ParallelConfig& c) { c.MutableStage(1).ops[3].dp = 4; }},
+      {"stage 0 op dec0.attn.qkv: tp 32 exceeds op limit 16", &wide,
+       &cluster32,
+       [](ParallelConfig& c) {
+         c.MutableOpSettings(2).tp = 32;
+         c.MutableOpSettings(2).dp = 1;
+       }},
+      // Every op of stage 0 has dp 4: the first one is named.
+      {"stage 0 op embedding: dp 4 does not divide microbatch size 2", &dp4,
+       &cluster_, [](ParallelConfig& c) { c.set_microbatch_size(2); }},
+      {"stages cover 194 ops, model has 195", &even4, &cluster_,
+       [](ParallelConfig& c) {
+         c.MutableStage(3).num_ops -= 1;
+         c.MutableStage(3).ops.pop_back();
+       }},
+  };
+  EXPECT_EQ(ParallelConfig().Validate(graph_, cluster_).ToString(),
+            "INVALID_ARGUMENT: configuration has no stages");
+  {
+    ParallelConfig empty;
+    StageConfig stage;
+    stage.num_devices = 8;
+    empty.AddStage(stage);
+    EXPECT_EQ(empty.Validate(graph_, cluster_).ToString(),
+              "INVALID_ARGUMENT: stage 0 is empty");
+  }
+  for (const Case& c : cases) {
+    const std::string want = std::string("INVALID_ARGUMENT: ") + c.message;
+    ASSERT_TRUE(c.parent->Validate(graph_, *c.cluster).ok());
+    ParallelConfig config = c.parent->DeepCopy();
+    c.mutate(config);
+    EXPECT_EQ(config.Validate(graph_, *c.cluster).ToString(), want);
+  }
 }
 
 struct TagAnnotation : StageAnnotation {

@@ -639,6 +639,20 @@ TEST_F(PlanDaemonTest, ErrorStatusesMapOntoHttp) {
   EXPECT_EQ(save->status_code, 400);
 }
 
+TEST_F(PlanDaemonTest, ModelNameAliasIsRejectedWithZooNames) {
+  // "deepnet-4zz" once parsed as deepnet-4; it must name no model at all.
+  auto alias = HttpCall("127.0.0.1", port_, "POST", "/plan",
+                        R"({"model":"deepnet-4zz","gpus":4})");
+  ASSERT_TRUE(alias.ok()) << alias.status().ToString();
+  EXPECT_EQ(alias->status_code, 400);
+  auto doc = JsonParse(alias->body);
+  ASSERT_TRUE(doc.ok()) << alias->body;
+  EXPECT_EQ(doc->Find("status")->string_value(), "error");
+  EXPECT_EQ(doc->Find("code")->string_value(), "INVALID_ARGUMENT");
+  EXPECT_NE(alias->body.find("known models"), std::string::npos);
+  EXPECT_NE(alias->body.find("gpt3-2.6b"), std::string::npos);
+}
+
 // Sends raw bytes and returns everything the server writes back. HttpCall
 // cannot emit an invalid Content-Length by construction, so the header
 // hardening below needs a transport that can.
