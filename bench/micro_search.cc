@@ -282,22 +282,17 @@ void BM_RehashAfterMutationUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_RehashAfterMutationUncached);
 
-// ----- Batched sibling-group evaluation (DESIGN.md §13) -----
+// ----- Sibling-group evaluation -----
 //
-// The ISSUE-6 hot path: the search scores a wave of sibling candidates that
-// all differ from their base in one stage. CandidateBatch resolves each
-// shared stage once and broadcasts the StageCost across lanes; the scalar
-// loop resolves every stage per candidate. With the stage cache disabled
-// the comparison isolates the structural saving (stages priced: L + (S-1)
-// batched vs L*S scalar for L lanes over S stages); with the cache enabled
-// it shows the residual lookup/hash traffic the broadcast still avoids.
+// The search scores a wave of sibling candidates that all differ from their
+// base in one stage, one Evaluate() each. With the stage cache enabled the
+// unmutated stages are cache hits; with it disabled every stage is walked.
 
 // Arg: sibling-group size. Each sibling mutates stage 0 differently
 // (distinct recompute prefixes), so stages 1..S-1 are block-identical
-// across the group — the shape EvaluateBatch sees after dedup. Runs on the
-// 8-stage BigFixture: deeper pipelines share more stages per sibling, which
-// is exactly where the broadcast pays.
-template <bool kCacheEnabled, bool kBatched>
+// across the group — the shape EvaluateBatch sees after dedup — on the
+// 8-stage BigFixture.
+template <bool kCacheEnabled>
 void GroupEvalBench(benchmark::State& state) {
   BigFixture f;
   f.model.set_stage_cache_enabled(kCacheEnabled);
@@ -312,21 +307,9 @@ void GroupEvalBench(benchmark::State& state) {
     }
     siblings.push_back(std::move(sibling));
   }
-  if (kBatched) {
-    CandidateBatch batch(f.model);
-    for (auto _ : state) {
-      batch.Clear();
-      for (const ParallelConfig& sibling : siblings) {
-        batch.AddLane(&sibling);
-      }
-      batch.EvaluateAll();
-      benchmark::DoNotOptimize(batch.perf(0).iteration_time);
-    }
-  } else {
-    for (auto _ : state) {
-      for (const ParallelConfig& sibling : siblings) {
-        benchmark::DoNotOptimize(f.model.Evaluate(sibling));
-      }
+  for (auto _ : state) {
+    for (const ParallelConfig& sibling : siblings) {
+      benchmark::DoNotOptimize(f.model.Evaluate(sibling));
     }
   }
   state.counters["candidates_per_sec"] = benchmark::Counter(
@@ -334,23 +317,13 @@ void GroupEvalBench(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
-void BM_BatchedGroupEval(benchmark::State& state) {
-  GroupEvalBench<true, true>(state);
-}
-BENCHMARK(BM_BatchedGroupEval)->Arg(4)->Arg(8);
-
 void BM_ScalarGroupEval(benchmark::State& state) {
-  GroupEvalBench<true, false>(state);
+  GroupEvalBench<true>(state);
 }
 BENCHMARK(BM_ScalarGroupEval)->Arg(4)->Arg(8);
 
-void BM_BatchedGroupEvalNoCache(benchmark::State& state) {
-  GroupEvalBench<false, true>(state);
-}
-BENCHMARK(BM_BatchedGroupEvalNoCache)->Arg(4)->Arg(8);
-
 void BM_ScalarGroupEvalNoCache(benchmark::State& state) {
-  GroupEvalBench<false, false>(state);
+  GroupEvalBench<false>(state);
 }
 BENCHMARK(BM_ScalarGroupEvalNoCache)->Arg(4)->Arg(8);
 

@@ -283,11 +283,11 @@ class ParallelConfig {
 
   // Identity of stage `stage_index`'s copy-on-write block. Equal identities
   // mean the two stages *are* one shared immutable StageBlock — same stage
-  // data, same word cache, same annotation — which is how the batched group
-  // evaluator (src/cost/batch_eval) detects in O(1) that sibling candidates
-  // share an unmutated stage. Unequal identities promise nothing: two
-  // distinct blocks may still hold equal stage data (the stage-cost cache
-  // catches that case by hash). Valid until this config is mutated.
+  // data, same word cache, same annotation — so a copy's unmutated stages
+  // can be told apart from its cloned ones in O(1). Unequal identities
+  // promise nothing: two distinct blocks may still hold equal stage data
+  // (the stage-cost cache catches that case by hash). Valid until this
+  // config is mutated.
   const void* StageBlockIdentity(int stage_index) const {
     return stages_.at(static_cast<size_t>(stage_index)).get();
   }

@@ -18,7 +18,6 @@
 #include "src/core/dp_seeder.h"
 #include "src/core/finetune.h"
 #include "src/core/primitives.h"
-#include "src/cost/batch_eval.h"
 
 namespace aceso {
 namespace {
@@ -248,17 +247,6 @@ class SingleSearch {
     if (eval_serial_candidates_ > 0) {
       telemetry_->IncrCounter("search.eval_serial_candidates",
                               eval_serial_candidates_);
-    }
-    // Batched-group-evaluation diagnostics (DESIGN.md §13): how many SoA
-    // batches formed, lanes scored, and per-stage resolutions the sharing
-    // broadcast saved. Counters only, like the pool stats above.
-    if (batch_stats_.batches > 0) {
-      telemetry_->IncrCounter("search.batch_batches", batch_stats_.batches);
-      telemetry_->IncrCounter("search.batch_lanes", batch_stats_.lanes);
-      telemetry_->IncrCounter("search.batch_stage_groups",
-                              batch_stats_.stage_groups);
-      telemetry_->IncrCounter("search.batch_shared_saved",
-                              batch_stats_.shared_lookups_saved);
     }
     if (dp_seed_evaluations_ > 0) {
       telemetry_->IncrCounter("search.dp_seed_evaluations",
@@ -536,20 +524,10 @@ class SingleSearch {
   //
   // Serial mode (no pool / small group) evaluates nothing here: the
   // reduction evaluates lazily on first use, so candidates past a
-  // first-improvement cut are never evaluated — exactly the pre-batching
-  // work profile, with zero speculation. Parallel mode trades that
-  // speculative tail for concurrency; the reduction discards the extra
-  // perfs, so every result bit still matches.
-  //
-  // With batch_eval (default), groups of >= 2 survivors are scored through
-  // the SoA CandidateBatch (src/cost/batch_eval.h) instead of per-candidate
-  // Evaluate(): stages the siblings share resolve once and broadcast. Lane
-  // perfs are bit-identical to Evaluate() by the batch's contract, so the
-  // reduction — and therefore the trajectory — is unchanged; batching only
-  // trades the serial path's lazy tail for shared-stage resolution, the
-  // same trade the pooled path already makes. Pooled groups split into
-  // contiguous per-thread sub-batches (sharing is densest between adjacent
-  // candidates of one primitive, so contiguous slices keep most of it).
+  // first-improvement cut are never evaluated — evaluations equal configs
+  // explored, with zero speculation. Parallel mode trades that speculative
+  // tail for concurrency; the reduction discards the extra perfs, so every
+  // result bit still matches.
   void EvaluateBatch(std::vector<BatchCandidate>& batch) {
     int64_t survivors = 0;
     for (const BatchCandidate& bc : batch) {
@@ -557,72 +535,9 @@ class SingleSearch {
         ++survivors;
       }
     }
-    if (survivors == 0) {
-      return;
-    }
     ThreadPool* pool = options_.eval_pool;
-    const bool pooled =
-        pool != nullptr && options_.eval_threads > 1 &&
-        survivors >= std::max<int64_t>(1, options_.parallel_eval_threshold);
-    if (options_.batch_eval && survivors >= 2) {
-      std::vector<BatchCandidate*> lanes;
-      lanes.reserve(static_cast<size_t>(survivors));
-      for (BatchCandidate& bc : batch) {
-        if (!bc.duplicate) {
-          bc.evaluated = true;
-          lanes.push_back(&bc);
-        }
-      }
-      if (pooled) {
-        // One sub-batch per evaluation thread, at least two lanes each.
-        const size_t chunks = std::min<size_t>(
-            static_cast<size_t>(options_.eval_threads), lanes.size() / 2);
-        std::vector<BatchEvalStats> chunk_stats(chunks);
-        TaskGroup tasks(*pool);
-        for (size_t c = 0; c < chunks; ++c) {
-          const size_t begin = c * lanes.size() / chunks;
-          const size_t end = (c + 1) * lanes.size() / chunks;
-          tasks.Submit([this, &lanes, &chunk_stats, c, begin, end] {
-            CandidateBatch sub(model_);
-            for (size_t i = begin; i < end; ++i) {
-              sub.AddLane(&lanes[i]->scored.config);
-            }
-            sub.EvaluateAll();
-            for (size_t i = begin; i < end; ++i) {
-              lanes[i]->scored.perf =
-                  sub.TakePerf(static_cast<int>(i - begin));
-              lanes[i]->scored.perf.ApplyMemoryLimit(
-                  options_.memory_budget_bytes);
-            }
-            chunk_stats[c] = sub.stats();
-          });
-        }
-        tasks.Wait();
-        for (const BatchEvalStats& s : chunk_stats) {
-          batch_stats_ += s;
-        }
-        ++eval_batches_;
-        eval_batch_candidates_ += survivors;
-      } else {
-        // One batch on the submitting thread; scratch_batch_ amortizes the
-        // SoA allocations across the search's (many small) groups.
-        if (!scratch_batch_.has_value()) {
-          scratch_batch_.emplace(model_);
-        }
-        scratch_batch_->Clear();
-        for (BatchCandidate* bc : lanes) {
-          scratch_batch_->AddLane(&bc->scored.config);
-        }
-        scratch_batch_->EvaluateAll();
-        for (size_t i = 0; i < lanes.size(); ++i) {
-          lanes[i]->scored.perf = scratch_batch_->TakePerf(static_cast<int>(i));
-          lanes[i]->scored.perf.ApplyMemoryLimit(options_.memory_budget_bytes);
-        }
-        batch_stats_ += scratch_batch_->stats();
-      }
-      return;
-    }
-    if (!pooled) {
+    if (pool == nullptr || options_.eval_threads <= 1 || survivors == 0 ||
+        survivors < options_.parallel_eval_threshold) {
       return;  // lazy: the reduction evaluates serially, on demand
     }
     TaskGroup tasks(*pool);
@@ -726,11 +641,6 @@ class SingleSearch {
   int64_t eval_batches_ = 0;
   int64_t eval_batch_candidates_ = 0;
   int64_t eval_serial_candidates_ = 0;
-
-  // SoA group-evaluation diagnostics (DESIGN.md §13) and the reusable
-  // single-thread batch; pooled sub-batches are task-local instead.
-  BatchEvalStats batch_stats_;
-  std::optional<CandidateBatch> scratch_batch_;
   int64_t dp_seed_evaluations_ = 0;
 
   SearchStats stats_;

@@ -108,13 +108,6 @@ struct SearchOptions {
   // overhead outweighs the win on tiny groups.
   int parallel_eval_threshold = 4;
 
-  // Batched SoA evaluation of candidate groups (src/cost/batch_eval.h):
-  // groups of >= 2 surviving candidates are scored lane-parallel so stages
-  // the siblings share are resolved once and broadcast. Bit-identical to
-  // per-candidate Evaluate() at every eval_threads setting; disable only to
-  // A/B the scalar path (bench/tests).
-  bool batch_eval = true;
-
   // The pool evaluation batches run on (not owned; must be safe for nested
   // submission, i.e. aceso::ThreadPool). Null with eval_threads > 1 makes
   // AcesoSearch / AcesoSearchForStages create one: AcesoSearch sizes a
@@ -249,8 +242,8 @@ struct SearchResult {
 // seed mode, frontier tracking, and the memory budget (track_frontier adds
 // the frontier payload to the answer; memory_budget_bytes changes every
 // feasibility verdict). Execution-shape fields are deliberately excluded —
-// eval_threads / parallel_eval_threshold / batch_eval / eval_pool are
-// bit-identity-guaranteed no-ops on the trajectory (DESIGN.md §11/§13),
+// eval_threads / parallel_eval_threshold / eval_pool are
+// bit-identity-guaranteed no-ops on the trajectory (DESIGN.md §11),
 // num_threads only changes which thread runs which stage count, and
 // telemetry is pure observation. This is the SearchOptions component of the
 // serving plan-cache key (DESIGN.md §14): two requests that can only

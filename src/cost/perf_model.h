@@ -106,8 +106,8 @@ StageCost AggregateStageCost(const StageWalk& walk);
 
 // Eq. 1 for stage `stage_index` of a `num_stages`-stage pipeline: parameter,
 // optimizer and reserved bytes plus the activations of the 1F1B in-flight
-// microbatches. The one memory expression Evaluate(), the batched evaluator
-// and PerformanceModel::StageMemoryBytes() share.
+// microbatches. The one memory expression Evaluate() and
+// PerformanceModel::StageMemoryBytes() share.
 inline int64_t StageMemoryFromCost(const StageCost& cost, int num_stages,
                                    int stage_index) {
   const int in_flight = std::max(1, num_stages - stage_index);
@@ -198,12 +198,6 @@ class PerformanceModel {
   }
 
  private:
-  // The batched group evaluator (batch_eval.h) replays Evaluate()'s per-stage
-  // resolution against stage_cache_ directly and charges eval_count_ one
-  // evaluation per lane, so scalar and batched runs report identical
-  // exploration counts.
-  friend class CandidateBatch;
-
   // The one rule for resolving a stage's cost: with the stage cache on, the
   // entry under StageSemanticHash, computed and inserted on a miss; with it
   // off, a fresh ComputeStageCost.

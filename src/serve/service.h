@@ -52,7 +52,9 @@ struct ServeOptions {
 
   // Default intra-search evaluation parallelism for requests that leave
   // eval_threads unset. Bit-identity no-op on results (DESIGN.md §11).
-  int eval_threads = 2;
+  // Serial by default: the daemon already runs searches concurrently across
+  // requests, and a serial search evaluates only the candidates it reduces.
+  int eval_threads = 1;
 
   // Plan cache entries (0 disables the cache).
   size_t plan_cache_capacity = 64;

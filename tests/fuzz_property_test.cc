@@ -343,92 +343,6 @@ TEST_P(FuzzTest, EvaluateBitIdenticalWithMemoAndCompressionOff) {
   }
 }
 
-// Bit-exact PerfResult comparison for the batched-vs-scalar property.
-void ExpectPerfBitEqual(const PerfResult& batched, const PerfResult& scalar,
-                        int lane) {
-  ASSERT_EQ(batched.iteration_time, scalar.iteration_time) << "lane " << lane;
-  ASSERT_EQ(batched.oom, scalar.oom) << "lane " << lane;
-  ASSERT_EQ(batched.slowest_stage, scalar.slowest_stage) << "lane " << lane;
-  ASSERT_EQ(batched.max_memory_stage, scalar.max_memory_stage)
-      << "lane " << lane;
-  ASSERT_EQ(batched.memory_limit, scalar.memory_limit) << "lane " << lane;
-  ASSERT_EQ(batched.stages.size(), scalar.stages.size()) << "lane " << lane;
-  for (size_t s = 0; s < batched.stages.size(); ++s) {
-    const StageUsage& a = batched.stages[s];
-    const StageUsage& b = scalar.stages[s];
-    ASSERT_EQ(a.fwd_time, b.fwd_time) << "lane " << lane << " stage " << s;
-    ASSERT_EQ(a.bwd_time, b.bwd_time) << "lane " << lane << " stage " << s;
-    ASSERT_EQ(a.comp_time, b.comp_time) << "lane " << lane << " stage " << s;
-    ASSERT_EQ(a.comm_time, b.comm_time) << "lane " << lane << " stage " << s;
-    ASSERT_EQ(a.recompute_time, b.recompute_time) << "lane " << lane;
-    ASSERT_EQ(a.dp_sync_time, b.dp_sync_time) << "lane " << lane;
-    ASSERT_EQ(a.warmup_time, b.warmup_time) << "lane " << lane;
-    ASSERT_EQ(a.steady_time, b.steady_time) << "lane " << lane;
-    ASSERT_EQ(a.cooldown_time, b.cooldown_time) << "lane " << lane;
-    ASSERT_EQ(a.stage_time, b.stage_time) << "lane " << lane;
-    ASSERT_EQ(a.param_bytes, b.param_bytes) << "lane " << lane;
-    ASSERT_EQ(a.optimizer_bytes, b.optimizer_bytes) << "lane " << lane;
-    ASSERT_EQ(a.activation_bytes_per_mb, b.activation_bytes_per_mb)
-        << "lane " << lane;
-    ASSERT_EQ(a.reserved_bytes, b.reserved_bytes) << "lane " << lane;
-    ASSERT_EQ(a.memory_bytes, b.memory_bytes) << "lane " << lane;
-  }
-}
-
-TEST_P(FuzzTest, BatchedGroupEvalBitIdenticalToScalar) {
-  // CandidateBatch over random sibling groups (CoW copies of one base with
-  // one or two random mutations each, the search's candidate shape) with
-  // random lane masks, against per-lane Evaluate() — every field IEEE-exact.
-  const OpGraph graph = models::SyntheticModel(rng_);
-  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
-  ProfileDatabase db(cluster, /*seed=*/GetParam());
-  PerformanceModel model(&graph, cluster, &db);
-  auto made = MakeEvenConfig(graph, cluster, std::min(4, graph.num_ops()), 4);
-  if (!made.ok()) {
-    GTEST_SKIP() << made.status().ToString();
-  }
-  ParallelConfig base = *std::move(made);
-  for (int round = 0; round < 10; ++round) {
-    const int group_size = rng_.NextInt(2, 7);
-    std::vector<ParallelConfig> siblings;
-    siblings.reserve(static_cast<size_t>(group_size));
-    for (int i = 0; i < group_size; ++i) {
-      ParallelConfig sibling = base;  // CoW copy: unmutated stages share
-      MutateRandomly(graph, sibling, rng_);
-      if (rng_.NextBool(0.3)) {
-        MutateRandomly(graph, sibling, rng_);
-      }
-      siblings.push_back(std::move(sibling));
-    }
-
-    CandidateBatch batch(model);
-    for (const ParallelConfig& sibling : siblings) {
-      batch.AddLane(&sibling);
-    }
-    // Random mask, at least one active lane (a budget-cut shape).
-    std::vector<bool> active(static_cast<size_t>(group_size), true);
-    for (int i = 0; i < group_size; ++i) {
-      active[static_cast<size_t>(i)] = rng_.NextBool(0.8);
-      batch.SetActive(i, active[static_cast<size_t>(i)]);
-    }
-    if (std::none_of(active.begin(), active.end(), [](bool a) { return a; })) {
-      active[0] = true;
-      batch.SetActive(0, true);
-    }
-    batch.EvaluateAll();
-
-    for (int i = 0; i < group_size; ++i) {
-      if (!active[static_cast<size_t>(i)]) {
-        continue;
-      }
-      const PerfResult scalar =
-          model.Evaluate(siblings[static_cast<size_t>(i)]);
-      ExpectPerfBitEqual(batch.perf(i), scalar, i);
-    }
-    MutateRandomly(graph, base, rng_);
-  }
-}
-
 TEST_P(FuzzTest, AdaptedSeedConfigsAreValidOrRejected) {
   // The seed-adaptation property (DESIGN.md §17): adapting ANY valid config
   // — built for a different random model and a different cluster size, then

@@ -553,17 +553,15 @@ TEST_F(SearchTest, ParallelEvaluationIsBitIdenticalToSerial) {
   }
 }
 
-TEST_F(SearchTest, BatchedEvaluationIsBitIdenticalToScalarPath) {
-  // The DESIGN.md §13 contract: batch_eval changes only how candidate
-  // groups are scored (SoA lanes with shared-stage broadcast), never the
-  // trajectory. Both settings must reproduce the golden trajectory — and
-  // each other's full event stream — at every eval_threads value.
-  auto run = [&](bool batch_eval, int eval_threads) {
+TEST_F(SearchTest, GoldenTrajectoryHoldsAtEveryEvalThreads) {
+  // The DESIGN.md §11 contract at the production threshold: every
+  // eval_threads value reproduces the golden trajectory, the serial run's
+  // full event stream, and its convergence curve point for point.
+  auto run = [&](int eval_threads) {
     TelemetrySink sink;
     SearchOptions options = FastOptions();
     options.time_budget_seconds = 1e6;
     options.max_evaluations = 3000;
-    options.batch_eval = batch_eval;
     options.eval_threads = eval_threads;
     options.telemetry = &sink;
     const SearchResult result = AcesoSearchForStages(model_, options, 2);
@@ -574,43 +572,51 @@ TEST_F(SearchTest, BatchedEvaluationIsBitIdenticalToScalarPath) {
     return std::make_pair(result, lines);
   };
 
+  const auto [serial, serial_events] = run(1);
   for (const int eval_threads : {1, 2, 8}) {
-    const auto [scalar, scalar_events] = run(false, eval_threads);
-    const auto [batched, batched_events] = run(true, eval_threads);
-    ASSERT_TRUE(scalar.found) << "eval_threads=" << eval_threads;
-    ASSERT_TRUE(batched.found) << "eval_threads=" << eval_threads;
-    // Both paths land on the golden trajectory...
-    EXPECT_EQ(scalar.best.semantic_hash, 1672875804967310438ULL)
+    const auto [result, events] = run(eval_threads);
+    ASSERT_TRUE(result.found) << "eval_threads=" << eval_threads;
+    EXPECT_EQ(result.best.semantic_hash, 1672875804967310438ULL)
         << "eval_threads=" << eval_threads;
-    EXPECT_EQ(batched.best.semantic_hash, 1672875804967310438ULL)
-        << "eval_threads=" << eval_threads;
-    EXPECT_DOUBLE_EQ(scalar.best.perf.iteration_time, 22.649582163995891);
-    EXPECT_DOUBLE_EQ(batched.best.perf.iteration_time, 22.649582163995891);
-    EXPECT_EQ(scalar.stats.configs_explored, 3000);
-    EXPECT_EQ(batched.stats.configs_explored, 3000);
-    EXPECT_EQ(scalar.stats.iterations, 40);
-    EXPECT_EQ(batched.stats.iterations, 40);
-    // ...and on each other, event for event and point for point.
-    EXPECT_EQ(batched.stats.improvements, scalar.stats.improvements);
-    EXPECT_EQ(batched.stats.hops_used, scalar.stats.hops_used);
-    EXPECT_EQ(batched_events, scalar_events)
-        << "eval_threads=" << eval_threads;
-    ASSERT_EQ(batched.convergence.size(), scalar.convergence.size());
-    for (size_t i = 0; i < batched.convergence.size(); ++i) {
-      EXPECT_DOUBLE_EQ(batched.convergence[i].best_iteration_time,
-                       scalar.convergence[i].best_iteration_time);
-      EXPECT_EQ(batched.convergence[i].evaluations,
-                scalar.convergence[i].evaluations);
-      EXPECT_EQ(batched.convergence[i].feasible,
-                scalar.convergence[i].feasible);
+    EXPECT_DOUBLE_EQ(result.best.perf.iteration_time, 22.649582163995891);
+    EXPECT_EQ(result.stats.configs_explored, 3000);
+    EXPECT_EQ(result.stats.iterations, 40);
+    EXPECT_EQ(result.stats.improvements, serial.stats.improvements);
+    EXPECT_EQ(result.stats.hops_used, serial.stats.hops_used);
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events, serial_events) << "eval_threads=" << eval_threads;
+    ASSERT_EQ(result.convergence.size(), serial.convergence.size());
+    for (size_t i = 0; i < result.convergence.size(); ++i) {
+      EXPECT_DOUBLE_EQ(result.convergence[i].best_iteration_time,
+                       serial.convergence[i].best_iteration_time);
+      EXPECT_EQ(result.convergence[i].evaluations,
+                serial.convergence[i].evaluations);
+      EXPECT_EQ(result.convergence[i].feasible,
+                serial.convergence[i].feasible);
     }
   }
+}
+
+TEST_F(SearchTest, SerialSearchEvaluatesExactlyTheConfigsItExplores) {
+  // The serial path evaluates lazily: a candidate is scored only when the
+  // reduction reaches it, so nothing past a first-improvement cut or a
+  // budget stop is evaluated. On the golden fixture, the model's evaluation
+  // count therefore grows by exactly the configs the search explored.
+  SearchOptions options = FastOptions();
+  options.time_budget_seconds = 1e6;
+  options.max_evaluations = 3000;
+  options.eval_threads = 1;
+  const int64_t before = model_.NumEvaluations();
+  const SearchResult result = AcesoSearchForStages(model_, options, 2);
+  ASSERT_TRUE(result.found);
+  EXPECT_EQ(result.stats.configs_explored, 3000);
+  EXPECT_EQ(model_.NumEvaluations() - before, result.stats.configs_explored);
 }
 
 TEST_F(SearchTest, DpSeededSearchTrajectoryIsBitReproducible) {
   // DP seeding intentionally changes the trajectory — so it carries its own
   // golden: the seeded search must be deterministic under a pure evaluation
-  // budget and land on the same best config run-to-run, batched or not.
+  // budget and land on the same best config run-to-run.
   SearchOptions options = FastOptions();
   options.time_budget_seconds = 1e6;
   options.max_evaluations = 3000;
@@ -623,14 +629,6 @@ TEST_F(SearchTest, DpSeededSearchTrajectoryIsBitReproducible) {
   EXPECT_DOUBLE_EQ(a.best.perf.iteration_time, b.best.perf.iteration_time);
   EXPECT_EQ(a.stats.configs_explored, b.stats.configs_explored);
   EXPECT_EQ(a.stats.iterations, b.stats.iterations);
-
-  SearchOptions scalar = options;
-  scalar.batch_eval = false;
-  const SearchResult c = AcesoSearchForStages(model_, scalar, 2);
-  ASSERT_TRUE(c.found);
-  EXPECT_EQ(c.best.semantic_hash, a.best.semantic_hash);
-  EXPECT_DOUBLE_EQ(c.best.perf.iteration_time, a.best.perf.iteration_time);
-  EXPECT_EQ(c.stats.configs_explored, a.stats.configs_explored);
 
   // The DP seed can only start the search at or below the heuristic seed's
   // initial prediction (it prices several DP solutions and keeps the best).

@@ -29,7 +29,7 @@ struct Args {
   std::string host = "127.0.0.1";
   int port = 8700;
   int workers = 0;  // 0 = auto (see ServeOptions)
-  int eval_threads = 2;
+  int eval_threads = aceso::serve::ServeOptions{}.eval_threads;
   int cache_capacity = 64;
   int max_inflight = 4;
   int http_workers = 2;        // epoll event-loop workers
